@@ -22,7 +22,12 @@ type Delay struct {
 	ZoneWaitSec float64
 
 	skippedSince map[int]float64
-	retryArmed   map[cluster.NodeID]bool
+	// retryArmed marks nodes with a retry wake-up in the heap; retry
+	// holds each node's wake-up closure, built on first use so that
+	// arming one later allocates nothing.
+	retryArmed []bool
+	retry      []func()
+	jobs       []int // AppendArrivedJobs scratch
 }
 
 // NewDelay returns a delay scheduler with the default thresholds.
@@ -32,7 +37,7 @@ func NewDelay() *Delay { return &Delay{} }
 func (d *Delay) Name() string { return "delay" }
 
 // Init implements sim.Scheduler.
-func (d *Delay) Init(*sim.Sim) {
+func (d *Delay) Init(s *sim.Sim) {
 	if d.NodeWaitSec == 0 {
 		d.NodeWaitSec = 15
 	}
@@ -40,7 +45,8 @@ func (d *Delay) Init(*sim.Sim) {
 		d.ZoneWaitSec = 15
 	}
 	d.skippedSince = make(map[int]float64)
-	d.retryArmed = make(map[cluster.NodeID]bool)
+	d.retryArmed = make([]bool, len(s.C.Nodes))
+	d.retry = make([]func(), len(s.C.Nodes))
 }
 
 // OnJobArrival implements sim.Scheduler.
@@ -58,44 +64,43 @@ func (d *Delay) OnSlotFree(s *sim.Sim, n cluster.NodeID) {
 			}
 			// Every job is currently yielding for locality: retry once
 			// its wait expires, or nothing will wake this slot up.
-			if d.anyPending(s) && !d.retryArmed[n] {
-				d.retryArmed[n] = true
-				s.At(s.Now()+d.NodeWaitSec/2+0.5, func() {
-					d.retryArmed[n] = false
-					if s.FreeSlots(n) > 0 {
-						d.OnSlotFree(s, n)
-					}
-				})
+			if pending, _, _, _ := s.StateCounts(); pending > 0 && !d.retryArmed[n] {
+				d.armRetry(s, n)
 			}
 			return
 		}
 	}
 }
 
-func (d *Delay) anyPending(s *sim.Sim) bool {
-	for _, j := range s.ArrivedJobs() {
-		if len(s.PendingTasks(j)) > 0 {
-			return true
+// armRetry schedules node n's retry wake-up.
+func (d *Delay) armRetry(s *sim.Sim, n cluster.NodeID) {
+	d.retryArmed[n] = true
+	if d.retry[n] == nil {
+		d.retry[n] = func() {
+			d.retryArmed[n] = false
+			if s.FreeSlots(n) > 0 {
+				d.OnSlotFree(s, n)
+			}
 		}
 	}
-	return false
+	s.At(s.Now()+d.NodeWaitSec/2+0.5, d.retry[n])
 }
 
 // assignOne scans jobs in FIFO order under the delay rule and launches at
 // most one task; it reports whether anything launched.
 func (d *Delay) assignOne(s *sim.Sim, n cluster.NodeID) bool {
 	now := s.Now()
-	for _, j := range s.ArrivedJobs() {
-		pending := s.PendingTasks(j)
-		if len(pending) == 0 {
+	d.jobs = s.AppendArrivedJobs(d.jobs[:0])
+	for _, j := range d.jobs {
+		if s.JobPending(j) == 0 {
 			continue
 		}
 		if !s.W.Jobs[j].HasInput() {
 			// No locality concern: launch immediately.
 			delete(d.skippedSince, j)
-			return s.Launch(j, pending[0], n, sim.NoStore) == nil
+			return s.Launch(j, s.NextPending(j, 0), n, sim.NoStore) == nil
 		}
-		t, store, rank := bestLocalityTask(s, j, pending, n)
+		t, store, rank := bestLocalityTask(s, j, n)
 		if rank == 0 {
 			delete(d.skippedSince, j)
 			return s.Launch(j, t, n, store) == nil

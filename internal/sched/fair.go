@@ -30,6 +30,14 @@ type Fair struct {
 	poolOf      map[int]string // job → pool
 	belowSince  map[string]float64
 	preemptLive bool // a future preempt tick is in the heap
+
+	// pickFairTask scratch, reused across calls so that a pick does not
+	// allocate. Preemption (a timer path) keeps its own fresh copies: a
+	// kill re-enters pickFairTask through the slot-free callback.
+	jobs      []int
+	poolOrder []string
+	poolJob   map[string]int // pool → its oldest job with pending work
+	running   map[string]int
 }
 
 // NewFair returns a fair scheduler with equal pool weights.
@@ -44,6 +52,8 @@ func (f *Fair) Name() string { return "fair" }
 func (f *Fair) Init(s *sim.Sim) {
 	f.poolOf = make(map[int]string)
 	f.belowSince = make(map[string]float64)
+	f.poolJob = make(map[string]int)
+	f.running = make(map[string]int)
 	f.Preemptions = 0
 	f.preemptLive = false
 	for j, job := range s.W.Jobs {
@@ -86,7 +96,8 @@ func (f *Fair) preemptCheck(s *sim.Sim) bool {
 	if !alive {
 		return false
 	}
-	running := f.runningByPool(s)
+	running := make(map[string]int)
+	f.countRunning(s, s.ArrivedJobs(), running)
 	now := s.Now()
 	for pool, min := range f.MinShare {
 		if min <= 0 {
@@ -115,7 +126,7 @@ func (f *Fair) preemptCheck(s *sim.Sim) bool {
 
 func (f *Fair) poolHasPending(s *sim.Sim, pool string) bool {
 	for _, j := range s.ArrivedJobs() {
-		if f.poolOf[j] == pool && len(s.PendingTasks(j)) > 0 {
+		if f.poolOf[j] == pool && s.JobPending(j) > 0 {
 			return true
 		}
 	}
@@ -183,11 +194,11 @@ func (f *Fair) OnSlotFree(s *sim.Sim, n cluster.NodeID) {
 	}
 }
 
-// runningByPool counts currently running tasks per pool; computed live so
-// that timeouts and speculative copies cannot drift a cached counter.
-func (f *Fair) runningByPool(s *sim.Sim) map[string]int {
-	out := make(map[string]int)
-	for _, j := range s.ArrivedJobs() {
+// countRunning adds the running tasks of jobs to their pools' counts in
+// out; computed live so that timeouts and speculative copies cannot
+// drift a cached counter.
+func (f *Fair) countRunning(s *sim.Sim, jobs []int, out map[string]int) {
+	for _, j := range jobs {
 		running := 0
 		for t := 0; t < s.W.Jobs[j].NumTasks; t++ {
 			if s.TaskState(j, t) == sim.Running {
@@ -196,7 +207,6 @@ func (f *Fair) runningByPool(s *sim.Sim) map[string]int {
 		}
 		out[f.poolOf[j]] += running
 	}
-	return out
 }
 
 // pickFairTask chooses the most-deficit pool with pending work, then the
@@ -204,28 +214,27 @@ func (f *Fair) runningByPool(s *sim.Sim) map[string]int {
 func (f *Fair) pickFairTask(s *sim.Sim, n cluster.NodeID) (job, task int, store cluster.StoreID, ok bool) {
 	// Deterministic pool scan: jobs are already in FIFO order, so the
 	// first job of each pool defines the pool's order of appearance.
-	type cand struct {
-		job     int
-		pending []int
-	}
-	byPool := make(map[string]cand)
-	var poolOrder []string
-	for _, j := range s.ArrivedJobs() {
+	clear(f.poolJob)
+	poolOrder := f.poolOrder[:0]
+	f.jobs = s.AppendArrivedJobs(f.jobs[:0])
+	for _, j := range f.jobs {
 		pool := f.poolOf[j]
-		if _, seen := byPool[pool]; seen {
+		if _, seen := f.poolJob[pool]; seen {
 			continue
 		}
-		pending := s.PendingTasks(j)
-		if len(pending) == 0 {
+		if s.JobPending(j) == 0 {
 			continue
 		}
-		byPool[pool] = cand{job: j, pending: pending}
+		f.poolJob[pool] = j
 		poolOrder = append(poolOrder, pool)
 	}
+	f.poolOrder = poolOrder
 	if len(poolOrder) == 0 {
 		return 0, 0, 0, false
 	}
-	running := f.runningByPool(s)
+	running := f.running
+	clear(running)
+	f.countRunning(s, f.jobs, running)
 	// Pools below their guaranteed minimum are served before fair-share
 	// ordering applies.
 	best := ""
@@ -250,7 +259,7 @@ func (f *Fair) pickFairTask(s *sim.Sim, n cluster.NodeID) (job, task int, store 
 			}
 		}
 	}
-	c := byPool[best]
-	t, st, _ := bestLocalityTask(s, c.job, c.pending, n)
-	return c.job, t, st, true
+	j := f.poolJob[best]
+	t, st, _ := bestLocalityTask(s, j, n)
+	return j, t, st, true
 }

@@ -13,7 +13,10 @@ import (
 // TaskTracker frees a slot the JobTracker greedily picks, from the oldest
 // job with pending work, the task whose data is closest to the tracker
 // (node-local, then same zone, then remote).
-type FIFO struct{ sim.NopNodeEvents }
+type FIFO struct {
+	sim.NopNodeEvents
+	jobs []int // AppendArrivedJobs scratch
+}
 
 // NewFIFO returns the Hadoop default scheduler.
 func NewFIFO() *FIFO { return &FIFO{} }
@@ -34,7 +37,8 @@ func (f *FIFO) OnTaskDone(*sim.Sim, int, int) {}
 // best-locality pending task; fall back to speculative execution.
 func (f *FIFO) OnSlotFree(s *sim.Sim, n cluster.NodeID) {
 	for s.FreeSlots(n) > 0 {
-		job, task, store, ok := oldestJobBestTask(s, n)
+		f.jobs = s.AppendArrivedJobs(f.jobs[:0])
+		job, task, store, ok := oldestJobBestTask(s, f.jobs, n)
 		if !ok {
 			s.LaunchSpeculative(n)
 			return
@@ -45,29 +49,32 @@ func (f *FIFO) OnSlotFree(s *sim.Sim, n cluster.NodeID) {
 	}
 }
 
-// oldestJobBestTask finds, in FIFO order, the first job with pending tasks
-// and its best-locality task for node n.
-func oldestJobBestTask(s *sim.Sim, n cluster.NodeID) (job, task int, store cluster.StoreID, ok bool) {
-	for _, j := range s.ArrivedJobs() {
-		pending := s.PendingTasks(j)
-		if len(pending) == 0 {
+// oldestJobBestTask finds, in FIFO order, the first of the arrived jobs
+// with pending tasks and its best-locality task for node n.
+func oldestJobBestTask(s *sim.Sim, jobs []int, n cluster.NodeID) (job, task int, store cluster.StoreID, ok bool) {
+	for _, j := range jobs {
+		if s.JobPending(j) == 0 {
 			continue
 		}
-		t, st, _ := bestLocalityTask(s, j, pending, n)
+		t, st, _ := bestLocalityTask(s, j, n)
 		return j, t, st, true
 	}
 	return 0, 0, 0, false
 }
 
 // bestLocalityTask picks the pending task of job j whose input is closest
-// to n (ties to the lowest index) and returns its locality rank. Jobs
-// without input return NoStore with rank 0.
-func bestLocalityTask(s *sim.Sim, j int, pending []int, n cluster.NodeID) (int, cluster.StoreID, int) {
+// to n (ties to the lowest index) and returns its locality rank. The job
+// must have a pending task. Jobs without input return their lowest
+// pending task, NoStore and rank 0. The walk visits pending tasks in
+// ascending order through NextPending and stops at the first node-local
+// one.
+func bestLocalityTask(s *sim.Sim, j int, n cluster.NodeID) (int, cluster.StoreID, int) {
+	t := s.NextPending(j, 0)
 	if !s.W.Jobs[j].HasInput() {
-		return pending[0], sim.NoStore, 0
+		return t, sim.NoStore, 0
 	}
 	bestT, bestStore, bestRank := -1, cluster.StoreID(0), 4
-	for _, t := range pending {
+	for ; t >= 0; t = s.NextPending(j, t+1) {
 		store, rank := s.BestReplicaRank(j, t, n)
 		if rank < bestRank {
 			bestT, bestStore, bestRank = t, store, rank

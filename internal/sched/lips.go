@@ -211,7 +211,7 @@ func (l *LiPS) done(s *sim.Sim) bool {
 func (l *LiPS) queuedJobs(s *sim.Sim) []int {
 	var out []int
 	for _, j := range s.ArrivedJobs() {
-		if len(s.PendingTasks(j)) > 0 {
+		if s.JobPending(j) > 0 {
 			out = append(out, j)
 		}
 	}

@@ -679,16 +679,18 @@ func (d *Daemon) epoch() error {
 			completed = append(completed, d.spanLocked(rec))
 			d.sm.TenantE2E.With(rec.tenant).Observe(p.doneAt - rec.submittedSim)
 			d.burn.Observe(rec.tenant, obs.SLOE2E, p.doneAt, p.doneAt-rec.submittedSim)
-		case rec.state == StateCancelling:
-			// A cancel is in flight; don't flap the visible state back to
-			// running while the next epoch applies it.
 		case p.doneAt > 0 && p.pending+p.queued+p.running == 0:
+			// Completed — possibly before a queued cancel landed, in which
+			// case the cancel is a no-op and the job stays done.
 			rec.state = StateDone
 			rec.doneSim = p.doneAt
 			newlyDone++
 			completed = append(completed, d.spanLocked(rec))
 			d.sm.TenantE2E.With(rec.tenant).Observe(p.doneAt - rec.submittedSim)
 			d.burn.Observe(rec.tenant, obs.SLOE2E, p.doneAt, p.doneAt-rec.submittedSim)
+		case rec.state == StateCancelling:
+			// A cancel is in flight; don't flap the visible state back to
+			// running while the next epoch applies it.
 		case rec.launched:
 			rec.state = StateRunning
 		default:

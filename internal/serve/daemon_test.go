@@ -14,6 +14,7 @@ import (
 	"lips/internal/cluster"
 	"lips/internal/obs"
 	"lips/internal/sched"
+	"lips/internal/sim"
 )
 
 func newTestDaemon(t *testing.T, cfg Config) (*Daemon, *httptest.Server) {
@@ -339,5 +340,82 @@ func TestChurnMidRun(t *testing.T) {
 	waitStats(t, ts.URL, func(st *Stats) bool { return st.Jobs[StateDone] == 10 })
 	if err := d.Shutdown(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// finishHook wraps a scheduler and calls onFinish when a job's last task
+// completes — inside the epoch's simulation step, after the epoch has
+// taken its cancel batch and before it publishes.
+type finishHook struct {
+	sim.Scheduler
+	onFinish func(s *sim.Sim, job int)
+}
+
+func (f *finishHook) OnTaskDone(s *sim.Sim, job, task int) {
+	f.Scheduler.OnTaskDone(s, job, task)
+	if s.JobRemaining(job) == 0 && f.onFinish != nil {
+		f.onFinish(s, job)
+	}
+}
+
+// TestCancelInCompletingEpochSettlesDone drives epochs by hand and lands
+// a cancel in the very epoch the job completes. The simulator's cancel is
+// then a no-op on a finished job, so the record must settle as done
+// rather than sit in cancelling forever.
+func TestCancelInCompletingEpochSettlesDone(t *testing.T) {
+	hook := &finishHook{Scheduler: sched.NewFair()}
+	d, err := New(cluster.Paper20(0.5), hook, obs.NewRegistry(), Config{EpochSimSec: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := d.Handler()
+	serve := func(method, url string, body any) *httptest.ResponseRecorder {
+		b, _ := json.Marshal(body)
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(method, url, bytes.NewReader(b)))
+		return rr
+	}
+	rr := serve(http.MethodPost, "/submit", SubmitRequest{Tenant: "alice", Archetype: "grep", InputMB: 128})
+	var sr SubmitResponse
+	if err := json.Unmarshal(rr.Body.Bytes(), &sr); rr.Code != http.StatusAccepted || err != nil {
+		t.Fatalf("submit: %d %s", rr.Code, rr.Body)
+	}
+	cancels := 0
+	hook.onFinish = func(_ *sim.Sim, _ int) {
+		d.mu.Lock()
+		st := d.records[sr.ID].state
+		d.mu.Unlock()
+		if st != StateAdmitted && st != StateRunning {
+			t.Errorf("job finished while its record was %q; want it admitted first", st)
+		}
+		if rr := serve(http.MethodPost, fmt.Sprintf("/cancel?id=%d", sr.ID), nil); rr.Code != http.StatusOK {
+			t.Errorf("cancel: %d %s", rr.Code, rr.Body)
+		}
+		cancels++
+	}
+	for epoch := 0; epoch < 1000; epoch++ {
+		if err := d.epoch(); err != nil {
+			t.Fatal(err)
+		}
+		d.mu.Lock()
+		idle := len(d.active) == 0 && len(d.queue) == 0 && len(d.cancels) == 0
+		d.mu.Unlock()
+		if idle {
+			break
+		}
+	}
+	if cancels != 1 {
+		t.Fatalf("cancel fired %d times, want 1", cancels)
+	}
+	var js JobStatus
+	rr = serve(http.MethodGet, fmt.Sprintf("/status?id=%d", sr.ID), nil)
+	if err := json.Unmarshal(rr.Body.Bytes(), &js); err != nil {
+		t.Fatal(err)
+	}
+	if js.State != StateDone || js.DoneTasks != 2 {
+		t.Fatalf("record settled as %+v; want done with 2 tasks", js)
+	}
+	if d.s.JobCancelled(d.records[sr.ID].simJob) {
+		t.Fatal("simulator cancelled a job that had already completed")
 	}
 }

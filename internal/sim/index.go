@@ -13,7 +13,11 @@ package sim
 //     attempt stores — fault replay filters ~totalSlots refs instead of
 //     scanning every task;
 //   - per-state task counters (stateCount, corrected by unarrived for
-//     not-yet-arrived jobs) maintained by setStateFlat.
+//     not-yet-arrived jobs) maintained by setStateFlat;
+//   - per-job Pending counts and lowest-pending bounds, also maintained
+//     by setStateFlat, behind JobPending and NextPending — greedy
+//     schedulers skip drained jobs in O(1) and never rescan a job's
+//     finished prefix.
 //
 // Invariants (pinned by TestSlotIndexProperty against recomputed-from-
 // scratch copies):
@@ -27,6 +31,10 @@ package sim
 //	                  copy (flat<<1|1, at specs[tasks[flat].spec].runPos)
 //	stateCount[st]  = #tasks in state st (all jobs); unarrived = #tasks
 //	                  of not-yet-arrived jobs, which are always Pending
+//	jobPending[j]   = #Pending tasks of job j (arrived or not)
+//	pendLow[j]      ≤ lowest Pending task index of job j (any value when
+//	                  none is Pending: a task re-entering Pending lowers it)
+//	fifo[:fifoHead] = arrived jobs that are all complete
 //
 // Options.LegacyDispatch keeps the original full scans alive for
 // differential testing; it never consults these indexes but they are
@@ -92,12 +100,35 @@ func (s *Sim) untrackRunning(pos int32) {
 	s.running = s.running[:last]
 }
 
-// setStateFlat transitions a task's state, keeping the per-state counters
-// exact. Every state change in the simulator goes through here.
+// setStateFlat transitions a task's state, keeping the per-state and
+// per-job pending counters exact and the job's lowest-pending bound
+// valid. Every state change in the simulator goes through here.
 func (s *Sim) setStateFlat(flat int32, st TaskState) {
-	s.stateCount[s.states[flat]]--
+	old := TaskState(s.states[flat])
+	s.stateCount[old]--
 	s.states[flat] = uint8(st)
 	s.stateCount[st]++
+	if (old == Pending) == (st == Pending) {
+		return
+	}
+	ti := &s.tasks[flat]
+	if st == Pending {
+		s.jobPending[ti.job]++
+		if ti.idx < s.pendLow[ti.job] {
+			s.pendLow[ti.job] = ti.idx
+		}
+	} else {
+		s.jobPending[ti.job]--
+	}
+}
+
+// jobFinished advances the arrival-order head past completed jobs, so
+// AppendArrivedJobs does not rescan a finished prefix. Called whenever a
+// job's remaining count reaches zero.
+func (s *Sim) jobFinished() {
+	for s.fifoHead < len(s.fifo) && s.jobs[s.fifo[s.fifoHead]].remaining == 0 {
+		s.fifoHead++
+	}
 }
 
 // allocSpec takes a speculative-attempt record from the free-list (or

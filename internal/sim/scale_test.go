@@ -2,11 +2,13 @@ package sim
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	"lips/internal/cluster"
+	"lips/internal/hdfs"
 	"lips/internal/trace"
 	"lips/internal/workload"
 )
@@ -280,12 +282,38 @@ func verifyIndexes(t *testing.T, s *Sim, strict bool) {
 	}
 	unarrived := 0
 	for j := range s.jobs {
-		if !s.jobs[j].arrived {
+		if !s.jobs[j].arrived && !s.jobs[j].cancelled {
 			unarrived += s.W.Jobs[j].NumTasks
 		}
 	}
 	if unarrived != s.unarrived {
 		t.Fatalf("unarrived: live %d, recomputed %d", s.unarrived, unarrived)
+	}
+
+	// Per-job pending index: the count is exact and the bound never sits
+	// above the job's lowest Pending task.
+	for j := range s.jobs {
+		base, end := s.taskBase[j], s.taskBase[j+1]
+		pending, lowest := 0, int32(-1)
+		for f := base; f < end; f++ {
+			if TaskState(s.states[f]) == Pending {
+				if pending == 0 {
+					lowest = f - base
+				}
+				pending++
+			}
+		}
+		if int32(pending) != s.jobPending[j] {
+			t.Fatalf("job %d: live pending count %d, recounted %d", j, s.jobPending[j], pending)
+		}
+		if pending > 0 && s.pendLow[j] > lowest {
+			t.Fatalf("job %d: lowest-pending bound %d above the lowest Pending task %d", j, s.pendLow[j], lowest)
+		}
+	}
+	for _, j := range s.fifo[:s.fifoHead] {
+		if s.jobs[j].remaining != 0 {
+			t.Fatalf("job %d behind the arrival-order head still has %d tasks", j, s.jobs[j].remaining)
+		}
 	}
 
 	// Every ref in the running index must point back at itself through the
@@ -327,10 +355,12 @@ func verifyIndexes(t *testing.T, s *Sim, strict bool) {
 	}
 }
 
-// TestSlotIndexProperty drives random launch/kill/crash/recover churn
-// through the simulator and checks, at every scheduler callback, that the
-// incremental indexes agree with recomputed-from-scratch copies. Run
-// under -race in CI (make scalesmoke).
+// TestSlotIndexProperty drives random launch/kill/crash/recover churn —
+// plus progress timeouts, and jobs added and cancelled mid-run through
+// the serve-mode API — through the simulator and checks, at every
+// scheduler callback and between steps, that the incremental indexes
+// agree with recomputed-from-scratch copies. Run under -race in CI (make
+// scalesmoke).
 func TestSlotIndexProperty(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		for _, legacy := range []bool{false, true} {
@@ -349,6 +379,9 @@ func TestSlotIndexProperty(t *testing.T) {
 					launched := false
 					for _, j := range s.ArrivedJobs() {
 						pending := s.PendingTasks(j)
+						if len(pending) != s.JobPending(j) {
+							t.Fatalf("job %d: PendingTasks has %d tasks, JobPending says %d", j, len(pending), s.JobPending(j))
+						}
 						if len(pending) == 0 {
 							continue
 						}
@@ -388,15 +421,78 @@ func TestSlotIndexProperty(t *testing.T) {
 			}
 			p := w.Placement()
 			p.Shuffle(rand.New(rand.NewSource(seed+1000)), c.StoreIDs())
-			s := New(c, w, p, ss, Options{Speculative: true, Faults: faults, LegacyDispatch: legacy})
-			if _, err := s.Run(); err != nil {
-				t.Fatalf("seed %d legacy=%v: %v", seed, legacy, err)
+			// A 1 s progress timeout kills every remote read in flight
+			// (up to the retry budget), returning tasks to Pending.
+			s := New(c, w, p, ss, Options{Speculative: true, Faults: faults, TaskTimeoutSec: 1, LegacyDispatch: legacy})
+			if err := s.Start(); err != nil {
+				t.Fatal(err)
+			}
+			added, cancelled := 0, 0
+			for step := 1; step < 100_000; step++ {
+				if err := s.StepUntil(float64(step) * 20); err != nil {
+					t.Fatalf("seed %d legacy=%v: %v", seed, legacy, err)
+				}
+				verifyIndexes(t, s, true)
+				if step > 60 {
+					if len(s.events) > 0 {
+						continue
+					}
+					if s.Drained() {
+						break
+					}
+					// The stub never kicks on arrival and may leave
+					// slots idle; wake a stalled run the way a serve
+					// daemon's next epoch would.
+					s.KickIdleNodes()
+					continue
+				}
+				switch rng.Intn(3) {
+				case 0:
+					indexChurnAddJob(t, s, rng, step)
+					added++
+				case 1:
+					if err := s.CancelJob(rng.Intn(s.NumJobs())); err != nil {
+						t.Fatal(err)
+					}
+					cancelled++
+				}
+			}
+			if !s.Drained() {
+				t.Fatalf("seed %d legacy=%v: %d jobs never finished", seed, legacy, s.remaining)
 			}
 			verifyIndexes(t, s, true)
-			if checks == 0 {
-				t.Fatalf("seed %d legacy=%v: property never checked", seed, legacy)
+			if checks == 0 || added == 0 || cancelled == 0 {
+				t.Fatalf("seed %d legacy=%v: property checked %d times with %d adds and %d cancels",
+					seed, legacy, checks, added, cancelled)
 			}
 		}
+	}
+}
+
+// indexChurnAddJob adds one random job to a live run: an input job on a
+// random store or a no-input job, arriving now or a little later (so
+// some are cancelled before they arrive).
+func indexChurnAddJob(t *testing.T, s *Sim, rng *rand.Rand, step int) {
+	t.Helper()
+	job := workload.Job{
+		Name:       fmt.Sprintf("churn-%d", step),
+		User:       "churn",
+		ArrivalSec: s.Now() + float64(rng.Intn(3))*15,
+	}
+	var obj *hdfs.DataObject
+	if rng.Intn(2) == 0 {
+		job.CPUSecPerMB = 0.1
+		obj = &hdfs.DataObject{
+			Name:   job.Name,
+			SizeMB: float64(1+rng.Intn(12)) * 64,
+			Origin: cluster.StoreID(rng.Intn(len(s.C.Stores))),
+		}
+	} else {
+		job.NumTasks = 1 + rng.Intn(12)
+		job.CPUSecPerTask = 5
+	}
+	if _, err := s.AddJob(job, obj); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -228,6 +228,8 @@ func (s *Sim) AddJob(job workload.Job, obj *hdfs.DataObject) (int, error) {
 	}
 	s.W.Jobs = append(s.W.Jobs, job)
 	s.jobs = append(s.jobs, jobState{remaining: job.NumTasks, firstLaunch: -1, firstEnqueue: -1})
+	s.jobPending = append(s.jobPending, int32(job.NumTasks))
+	s.pendLow = append(s.pendLow, 0)
 	s.taskBase = append(s.taskBase, s.taskBase[j]+int32(job.NumTasks))
 	for t := 0; t < job.NumTasks; t++ {
 		s.tasks = append(s.tasks, taskInfo{
@@ -326,6 +328,7 @@ func (s *Sim) CancelJob(job int) error {
 	js.remaining = 0
 	js.doneAt = s.clock
 	s.remaining--
+	s.jobFinished()
 	// Release dependents exactly as a real completion would (§III DAG
 	// leveling): a cancelled prerequisite no longer gates anything.
 	for _, dep := range js.dependents {

@@ -406,6 +406,7 @@ type Sim struct {
 	running    []int32  // packed refs of in-flight attempts
 	idle       []uint64 // bitset of live nodes with free slots
 	nodeZone   []int32  // node → dense zone index
+	storeZone  []int32  // store → dense zone index
 	zoneIdx    map[string]int
 	zoneFree   []int
 	freeSlots  int
@@ -414,7 +415,14 @@ type Sim struct {
 	stateCount [4]int
 	unarrived  int // tasks of not-yet-arrived jobs (always Pending)
 
+	// Per-job pending index: jobPending counts each job's Pending tasks;
+	// pendLow is a lower bound on its lowest Pending task index, so a
+	// NextPending scan skips the job's finished prefix.
+	jobPending []int32
+	pendLow    []int32
+
 	fifo        []int // arrival-ordered jobs
+	fifoHead    int   // fifo[:fifoHead] are all complete
 	busySlotSec float64
 	remaining   int // incomplete jobs
 	net         *netEngine
@@ -479,14 +487,21 @@ func New(c *cluster.Cluster, w *workload.Workload, p *hdfs.Placement, sched Sche
 			s.markIdle(cluster.NodeID(i))
 		}
 	}
+	s.storeZone = make([]int32, len(c.Stores))
+	for i, st := range c.Stores {
+		s.storeZone[i] = int32(s.zoneIdx[st.Zone])
+	}
 	s.freeSlots = s.totalSlots
 	s.liveSlots = s.totalSlots
 
 	s.jobs = make([]jobState, len(w.Jobs))
 	s.taskBase = make([]int32, len(w.Jobs)+1)
+	s.jobPending = make([]int32, len(w.Jobs))
+	s.pendLow = make([]int32, len(w.Jobs))
 	total := 0
 	for j, job := range w.Jobs {
 		s.taskBase[j] = int32(total)
+		s.jobPending[j] = int32(job.NumTasks)
 		total += job.NumTasks
 		s.jobs[j].remaining = job.NumTasks
 		s.jobs[j].firstLaunch = -1
@@ -613,40 +628,62 @@ func (s *Sim) flat(job, task int) int32 { return s.taskBase[job] + int32(task) }
 // task returns the task's record.
 func (s *Sim) task(job, task int) *taskInfo { return &s.tasks[s.taskBase[job]+int32(task)] }
 
-// ArrivedJobs returns the arrived-and-incomplete jobs in arrival order.
+// ArrivedJobs returns the arrived-and-incomplete jobs in arrival order,
+// in a fresh slice. Per-event callers use AppendArrivedJobs instead.
 func (s *Sim) ArrivedJobs() []int {
-	out := make([]int, 0, len(s.fifo))
-	for _, j := range s.fifo {
+	return s.AppendArrivedJobs(make([]int, 0, len(s.fifo)-s.fifoHead))
+}
+
+// AppendArrivedJobs appends the arrived-and-incomplete jobs to buf in
+// arrival order and returns the extended slice — ArrivedJobs without the
+// allocation when buf has capacity. The completed prefix of the arrival
+// order is skipped in O(1).
+func (s *Sim) AppendArrivedJobs(buf []int) []int {
+	for _, j := range s.fifo[s.fifoHead:] {
 		if s.jobs[j].remaining > 0 {
-			out = append(out, j)
+			buf = append(buf, j)
 		}
+	}
+	return buf
+}
+
+// PendingTasks returns the Pending task indices of a job, ascending, in a
+// fresh slice. Per-event callers walk them with NextPending and test for
+// any with JobPending instead, which allocate nothing and skip the job's
+// finished prefix.
+func (s *Sim) PendingTasks(job int) []int {
+	var out []int
+	for t := s.NextPending(job, 0); t >= 0; t = s.NextPending(job, t+1) {
+		out = append(out, t)
 	}
 	return out
 }
 
-// PendingTasks returns the Pending task indices of a job, ascending.
-func (s *Sim) PendingTasks(job int) []int {
-	var out []int
-	base, end := s.taskBase[job], s.taskBase[job+1]
-	for f := base; f < end; f++ {
-		if TaskState(s.states[f]) == Pending {
-			out = append(out, int(f-base))
-		}
-	}
-	return out
-}
+// JobPending returns how many of the job's tasks are Pending, in O(1).
+// A job that has not arrived yet counts all of its tasks.
+func (s *Sim) JobPending(job int) int { return int(s.jobPending[job]) }
 
 // NextPending returns the lowest Pending task index of a job that is ≥
 // from, or -1 — the allocation-free alternative to PendingTasks for
-// schedulers that sweep a job with a cursor (amortized O(1) per launch
-// while the cursor only moves forward).
+// schedulers that sweep a job with a cursor. The scan starts no lower
+// than the job's lowest-pending bound, and a scan that starts at or
+// below the bound moves the bound up to what it finds, so the finished
+// prefix of a job is walked once, not per call.
 func (s *Sim) NextPending(job, from int) int {
-	if from < 0 {
-		from = 0
+	if s.jobPending[job] == 0 {
+		return -1
+	}
+	low := int(s.pendLow[job])
+	raise := from <= low
+	if raise {
+		from = low
 	}
 	base, end := s.taskBase[job], s.taskBase[job+1]
 	for f := base + int32(from); f < end; f++ {
 		if TaskState(s.states[f]) == Pending {
+			if raise {
+				s.pendLow[job] = f - base
+			}
 			return int(f - base)
 		}
 	}

@@ -344,6 +344,7 @@ func (s *Sim) completeAttempt(job, task int, n cluster.NodeID, store cluster.Sto
 	if js.remaining == 0 {
 		js.doneAt = s.clock
 		s.remaining--
+		s.jobFinished()
 		// Release dependents whose prerequisites are now all complete
 		// (§III DAG leveling): they arrive at max(now, their own
 		// ArrivalSec).
@@ -485,23 +486,25 @@ func (s *Sim) BestReplica(job, task int, n cluster.NodeID) cluster.StoreID {
 // BestReplicaRank returns the closest replica and its locality rank
 // (0 node-local, 1 zone-local, 2 remote).
 func (s *Sim) BestReplicaRank(job, task int, n cluster.NodeID) (cluster.StoreID, int) {
-	j := s.W.Jobs[job]
-	reps := s.P.Replicas(j.Object, task)
+	reps := s.P.Replicas(s.W.Jobs[job].Object, task)
+	local, zone := s.C.Nodes[n].Store, s.nodeZone[n]
 	best := reps[0]
-	bestRank := s.localityRank(n, best)
+	bestRank := s.localityRank(local, zone, best)
 	for _, r := range reps[1:] {
-		if rank := s.localityRank(n, r); rank < bestRank {
+		if rank := s.localityRank(local, zone, r); rank < bestRank {
 			best, bestRank = r, rank
 		}
 	}
 	return best, bestRank
 }
 
-func (s *Sim) localityRank(n cluster.NodeID, store cluster.StoreID) int {
+// localityRank ranks a replica on store for a node whose own store is
+// local and whose dense zone index is zone.
+func (s *Sim) localityRank(local cluster.StoreID, zone int32, store cluster.StoreID) int {
 	switch {
-	case s.C.Nodes[n].Store == store:
+	case local == store:
 		return 0
-	case s.C.Nodes[n].Zone == s.C.Stores[store].Zone:
+	case zone == s.storeZone[store]:
 		return 1
 	default:
 		return 2

@@ -3,7 +3,10 @@
 # epoch-scale cold/warm pair plus the solver size sweep), the
 # internal/sim simulator benchmarks (nop-tracer, traced and shared-links
 # throughput, the 10k-node/1M-task paper-scale run, and the idle-sweep
-# dispatch microbenchmark), and the internal/core BenchmarkEpoch10k
+# dispatch microbenchmark), the internal/sched BenchmarkDelaySWIM
+# locality-greedy run (one SWIM-400 24 h trace under the delay scheduler
+# on the paper's 100-node cluster), and the internal/core
+# BenchmarkEpoch10k
 # column-generation pair (cold restricted-master solve and warm
 # reprice+dual-simplex re-solve at 10k machines) and writes
 # BENCH_lp.json — including
@@ -30,6 +33,8 @@ fi
 RAW=$(go test ./internal/lp -run '^$' -bench 'BenchmarkSolve|BenchmarkEpoch' \
 	-benchtime "$BENCHTIME" -timeout 30m
 	go test ./internal/sim -run '^$' -bench 'BenchmarkSimulator|BenchmarkDispatch' \
+		-benchtime "$BENCHTIME" -timeout 30m
+	go test ./internal/sched -run '^$' -bench 'BenchmarkDelaySWIM' \
 		-benchtime "$BENCHTIME" -timeout 30m
 	go test ./internal/core -run '^$' -bench BenchmarkEpoch10k \
 		-benchtime "$BENCHTIME" -timeout 30m)

@@ -2,7 +2,9 @@
 # Perf regression smoke: runs BenchmarkEpoch, the simulator
 # throughput benchmarks — the 20-node run whose Options{} path exercises
 # the disabled nop tracer, the 10k-node/1M-task paper-scale run, and the
-# idle-sweep dispatch microbenchmark — and BenchmarkEpoch10k, the
+# idle-sweep dispatch microbenchmark — BenchmarkDelaySWIM, the delay
+# scheduler's locality-greedy slot-free path over a SWIM-400 24 h trace,
+# and BenchmarkEpoch10k, the
 # column-generation epoch solve at 10k machines (cold restricted master
 # and warm reprice+dual-simplex re-solve), and fails when the measured ns/op
 # exceeds the committed
@@ -34,13 +36,15 @@ RAW=$(go test ./internal/lp -run '^$' -bench 'BenchmarkEpoch$' -benchtime "$BENC
 	go test ./internal/sim -run '^$' \
 		-bench 'BenchmarkSimulatorThroughput$|BenchmarkSimulatorThroughput10k$|BenchmarkDispatch$' \
 		-benchtime "$BENCHTIME" -timeout 30m
+	go test ./internal/sched -run '^$' -bench 'BenchmarkDelaySWIM$' \
+		-benchtime "$BENCHTIME" -timeout 30m
 	go test ./internal/core -run '^$' -bench 'BenchmarkEpoch10k$' \
 		-benchtime "$BENCHTIME" -timeout 30m)
 printf '%s\n' "$RAW"
 
 fail=0
 for name in BenchmarkEpoch/cold BenchmarkEpoch/warm BenchmarkSimulatorThroughput \
-	BenchmarkSimulatorThroughput10k BenchmarkDispatch \
+	BenchmarkSimulatorThroughput10k BenchmarkDispatch BenchmarkDelaySWIM \
 	BenchmarkEpoch10k/cold BenchmarkEpoch10k/warm; do
 	base=$(jq -r --arg n "$name" \
 		'.benchmarks[] | select(.name == $n) | .ns_per_op' "$BASELINE")
