@@ -62,8 +62,8 @@ type Plan struct {
 	// PricingTime is the wall-clock the solver spent pricing columns.
 	PricingTime time.Duration
 	// FactorTime, FtranTime and BtranTime split the basis-factorization
-	// work: building/updating the sparse LU (or dense inverse) and the
-	// forward/backward triangular solves.
+	// work: building/updating the sparse LU and the forward/backward
+	// triangular solves.
 	FactorTime time.Duration
 	FtranTime  time.Duration
 	BtranTime  time.Duration

@@ -45,7 +45,9 @@ func Write(w io.Writer, p *Problem) error {
 	return bw.Flush()
 }
 
-// Parse reads a problem in the text format.
+// Parse reads a problem in the text format. Values the Problem builder
+// would panic on (bounds checkBounds rejects, a non-finite cost, rhs or
+// coefficient) are reported as line-numbered errors.
 func Parse(r io.Reader) (*Problem, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -80,6 +82,12 @@ func Parse(r io.Reader) (*Problem, error) {
 			if err != nil {
 				return nil, fmt.Errorf("lp: line %d: cost: %v", line, err)
 			}
+			if err := checkBounds(lo, hi); err != nil {
+				return nil, fmt.Errorf("lp: line %d: %v", line, err)
+			}
+			if !finite(cost) {
+				return nil, fmt.Errorf("lp: line %d: non-finite cost %g", line, cost)
+			}
 			p.AddVar(fields[1], lo, hi, cost)
 		case "con":
 			if len(fields) != 4 {
@@ -100,6 +108,9 @@ func Parse(r io.Reader) (*Problem, error) {
 			if err != nil {
 				return nil, fmt.Errorf("lp: line %d: rhs: %v", line, err)
 			}
+			if !finite(rhs) {
+				return nil, fmt.Errorf("lp: line %d: non-finite rhs %g", line, rhs)
+			}
 			p.AddCon(fields[1], sense, rhs)
 		case "coef":
 			if len(fields) != 4 {
@@ -117,7 +128,14 @@ func Parse(r io.Reader) (*Problem, error) {
 			if err != nil {
 				return nil, fmt.Errorf("lp: line %d: value: %v", line, err)
 			}
+			if !finite(coef) {
+				return nil, fmt.Errorf("lp: line %d: non-finite value %g", line, coef)
+			}
 			p.SetCoef(Con(ci), Var(vi), coef)
+			// Repeated (con, var) pairs accumulate; the sum must stay finite.
+			if sum := p.Coef(Con(ci), Var(vi)); !finite(sum) {
+				return nil, fmt.Errorf("lp: line %d: accumulated value %g is not finite", line, sum)
+			}
 		default:
 			return nil, fmt.Errorf("lp: line %d: unknown directive %q", line, fields[0])
 		}

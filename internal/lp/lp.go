@@ -91,26 +91,40 @@ func (p *Problem) NumVars() int { return len(p.vars) }
 func (p *Problem) NumCons() int { return len(p.cons) }
 
 // AddVar adds a variable with bounds [lower, upper] and objective
-// coefficient cost, returning its handle. AddVar panics if the bounds are
-// inverted or lower is +Inf, since that is a program construction bug.
+// coefficient cost, returning its handle. AddVar panics if checkBounds
+// rejects the bounds or the cost is not finite, since that is a program
+// construction bug.
 func (p *Problem) AddVar(name string, lower, upper, cost float64) Var {
-	if lower > upper {
-		panic(fmt.Sprintf("lp: variable %q has inverted bounds [%g, %g]", name, lower, upper))
+	if err := checkBounds(lower, upper); err != nil {
+		panic(fmt.Sprintf("lp: variable %q: %v", name, err))
 	}
-	if math.IsInf(lower, 1) || math.IsInf(upper, -1) {
-		panic(fmt.Sprintf("lp: variable %q has infinite bound of the wrong sign", name))
-	}
-	if math.IsNaN(lower) || math.IsNaN(upper) || math.IsNaN(cost) {
-		panic(fmt.Sprintf("lp: variable %q has NaN bound or cost", name))
+	if !finite(cost) {
+		panic(fmt.Sprintf("lp: variable %q has non-finite cost %g", name, cost))
 	}
 	p.vars = append(p.vars, variable{name: name, lower: lower, upper: upper, cost: cost})
 	return Var(len(p.vars) - 1)
 }
 
+// checkBounds reports why [lower, upper] cannot bound a variable, or nil
+// when it can.
+func checkBounds(lower, upper float64) error {
+	switch {
+	case math.IsNaN(lower) || math.IsNaN(upper):
+		return fmt.Errorf("NaN bound [%g, %g]", lower, upper)
+	case math.IsInf(lower, 1) || math.IsInf(upper, -1):
+		return fmt.Errorf("infinite bound of the wrong sign [%g, %g]", lower, upper)
+	case lower > upper:
+		return fmt.Errorf("inverted bounds [%g, %g]", lower, upper)
+	}
+	return nil
+}
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
+
 // AddCon adds an empty constraint row with the given sense and right-hand
 // side, returning its handle. Coefficients are attached with SetCoef.
 func (p *Problem) AddCon(name string, sense Sense, rhs float64) Con {
-	if math.IsNaN(rhs) || math.IsInf(rhs, 0) {
+	if !finite(rhs) {
 		panic(fmt.Sprintf("lp: constraint %q has non-finite rhs %g", name, rhs))
 	}
 	p.cons = append(p.cons, constraint{name: name, sense: sense, rhs: rhs})
@@ -122,7 +136,7 @@ func (p *Problem) AddCon(name string, sense Sense, rhs float64) Con {
 // terms assembled from several model components. Zero coefficients are
 // ignored.
 func (p *Problem) SetCoef(c Con, v Var, coef float64) {
-	if math.IsNaN(coef) || math.IsInf(coef, 0) {
+	if !finite(coef) {
 		panic(fmt.Sprintf("lp: non-finite coefficient %g for var %d in con %d", coef, v, c))
 	}
 	if coef == 0 {
@@ -140,7 +154,7 @@ func (p *Problem) SetCoef(c Con, v Var, coef float64) {
 
 // AddCost adds delta to the objective coefficient of v.
 func (p *Problem) AddCost(v Var, delta float64) {
-	if math.IsNaN(delta) || math.IsInf(delta, 0) {
+	if !finite(delta) {
 		panic(fmt.Sprintf("lp: non-finite cost delta %g for var %d", delta, v))
 	}
 	p.vars[v].cost += delta
@@ -154,7 +168,7 @@ func (p *Problem) Cost(v Var) float64 { return p.vars[v].cost }
 // capacities, deadlines) without rebuilding the problem, which keeps
 // warm-start bases valid: the column structure is untouched.
 func (p *Problem) SetCost(v Var, cost float64) {
-	if math.IsNaN(cost) || math.IsInf(cost, 0) {
+	if !finite(cost) {
 		panic(fmt.Sprintf("lp: non-finite cost %g for var %d", cost, v))
 	}
 	p.vars[v].cost = cost
@@ -162,7 +176,7 @@ func (p *Problem) SetCost(v Var, cost float64) {
 
 // SetRHS replaces the right-hand side of c.
 func (p *Problem) SetRHS(c Con, rhs float64) {
-	if math.IsNaN(rhs) || math.IsInf(rhs, 0) {
+	if !finite(rhs) {
 		panic(fmt.Sprintf("lp: non-finite rhs %g for con %d", rhs, c))
 	}
 	p.cons[c].rhs = rhs
@@ -170,14 +184,8 @@ func (p *Problem) SetRHS(c Con, rhs float64) {
 
 // SetBounds replaces the bounds of v, with the same validation as AddVar.
 func (p *Problem) SetBounds(v Var, lower, upper float64) {
-	if lower > upper {
-		panic(fmt.Sprintf("lp: variable %q set to inverted bounds [%g, %g]", p.vars[v].name, lower, upper))
-	}
-	if math.IsInf(lower, 1) || math.IsInf(upper, -1) {
-		panic(fmt.Sprintf("lp: variable %q set to infinite bound of the wrong sign", p.vars[v].name))
-	}
-	if math.IsNaN(lower) || math.IsNaN(upper) {
-		panic(fmt.Sprintf("lp: variable %q set to NaN bound", p.vars[v].name))
+	if err := checkBounds(lower, upper); err != nil {
+		panic(fmt.Sprintf("lp: variable %q: %v", p.vars[v].name, err))
 	}
 	p.vars[v].lower, p.vars[v].upper = lower, upper
 }

@@ -336,6 +336,7 @@ func TestPanics(t *testing.T) {
 	c := p.AddCon("ok", LE, 1)
 	mustPanic("inverted bounds", func() { p.AddVar("bad", 2, 1, 0) })
 	mustPanic("NaN cost", func() { p.AddVar("bad", 0, 1, math.NaN()) })
+	mustPanic("inf cost", func() { p.AddVar("bad", 0, 1, Inf) })
 	mustPanic("inf rhs", func() { p.AddCon("bad", LE, Inf) })
 	mustPanic("NaN coef", func() { p.SetCoef(c, v, math.NaN()) })
 	mustPanic("objective mismatch", func() { p.Objective([]float64{1, 2}) })

@@ -5,8 +5,14 @@ import (
 	"math"
 )
 
-// luFactor represents B⁻¹ as a sparse LU factorization of the basis plus a
-// product-form eta file accumulated between refactorizations.
+// luFactor represents B⁻¹, the basis inverse the revised simplex works
+// against, as a sparse LU factorization of the basis plus a product-form
+// eta file accumulated between refactorizations.
+//
+// Vector spaces: "row space" indexes constraint rows, "slot space" indexes
+// basis positions (s.basis[i] is the column basic in slot i). FTRAN maps a
+// row-space vector v to the slot-space solution of B x = v; BTRAN maps a
+// slot-space vector c to the row-space solution of yᵀB = cᵀ.
 //
 // The factorization eliminates one (row, slot) pair per step k:
 //
@@ -75,6 +81,9 @@ func newLUFactor(s *simplexState) *luFactor {
 	}
 }
 
+// resetIdentity installs the exact all-slack basis B = I without a
+// refactorization. Only valid when every basis slot holds its own row's
+// slack column.
 func (f *luFactor) resetIdentity() {
 	for k := 0; k < f.m; k++ {
 		f.rowOf[k], f.slotOf[k] = int32(k), int32(k)
@@ -87,6 +96,9 @@ func (f *luFactor) resetIdentity() {
 	f.etas, f.etaNNZ = f.etas[:0], 0
 }
 
+// setUnitRow records that the basis column in slot i is now ±e_i (a
+// phase-1 artificial). Only valid immediately after resetIdentity, before
+// any update.
 func (f *luFactor) setUnitRow(i int, sign float64) {
 	f.uDiag[f.posRow[i]] = sign
 }
@@ -95,8 +107,9 @@ func (f *luFactor) setUnitRow(i int, sign float64) {
 // column's largest entry, trading a little fill-in for stability.
 const luMarkowitzThreshold = 0.01
 
-// refactorize computes a fresh LU factorization of the current basis and
-// clears the eta file.
+// refactorize computes a fresh LU factorization of the current basis
+// columns and clears the eta file. It fails when the basis is
+// (numerically) singular.
 func (f *luFactor) refactorize() error {
 	m := f.m
 	s := f.s
@@ -369,6 +382,7 @@ func (f *luFactor) solveLU(v, out []float64) {
 	}
 }
 
+// ftranCol computes out = B⁻¹ A_col for a sparse column.
 func (f *luFactor) ftranCol(col []nz, out []float64) {
 	m := f.m
 	v := f.work
@@ -381,6 +395,7 @@ func (f *luFactor) ftranCol(col []nz, out []float64) {
 	f.solveLU(v, out)
 }
 
+// ftranVec computes out = B⁻¹ v for a dense row-space vector.
 func (f *luFactor) ftranVec(v, out []float64) {
 	copy(f.work, v)
 	f.solveLU(f.work, out)
@@ -426,6 +441,8 @@ func (f *luFactor) btran(c, out []float64) {
 	}
 }
 
+// pivotRow returns row i of B⁻¹ (the BTRAN of e_i) in a buffer that is
+// valid until the next pivotRow call; callers must treat it as read-only.
 func (f *luFactor) pivotRow(i int) []float64 {
 	for k := range f.cbuf {
 		f.cbuf[k] = 0
@@ -435,6 +452,8 @@ func (f *luFactor) pivotRow(i int) []float64 {
 	return f.prow
 }
 
+// update replaces the basis column in slot `leaving` by the entering
+// column whose FTRAN image is w (w = B⁻¹ A_enter).
 func (f *luFactor) update(w []float64, leaving int) {
 	var idx []int32
 	var val []float64
@@ -450,9 +469,11 @@ func (f *luFactor) update(w []float64, leaving int) {
 
 // needsRefactor bounds the eta file: once applying the etas costs more
 // than a couple of fresh triangular solves, refactorizing wins. The
-// absolute cap matches the dense path's drift bound.
+// absolute cap bounds numerical drift.
 func (f *luFactor) needsRefactor(since int) bool {
 	return since >= 256 || f.etaNNZ > 4*f.fnnz+2*f.m
 }
 
+// nnz is the nonzero count of the current factorization, fill-in
+// included.
 func (f *luFactor) nnz() int { return f.fnnz }

@@ -58,12 +58,12 @@ type psRec struct {
 // presolveResult carries the reduced problem and everything postsolve
 // needs to expand a reduced solution back to the original space.
 type presolveResult struct {
-	p          *Problem // reduced problem (nil when infeasible)
-	infeasible bool
-	origVar    []int32   // reduced column → original column
-	origCon    []int32   // reduced row → original row
-	lo, hi     []float64 // final working bounds per original column
-	stack      []psRec
+	p                        *Problem // reduced problem (nil when infeasible)
+	infeasible               bool
+	origVar                  []int32   // reduced column → original column
+	origCon                  []int32   // reduced row → original row
+	lo, hi                   []float64 // final working bounds per original column
+	stack                    []psRec
 	rowsRemoved, colsRemoved int
 }
 

@@ -16,8 +16,7 @@ var debugSimplex = os.Getenv("LIPS_LP_DEBUG") == "1"
 //
 // The method maintains a sparse LU factorization of the basis (Markowitz
 // pivot ordering, product-form eta updates, periodic refactorisation from
-// scratch to bound eta growth and numerical drift); Options.Factor can
-// select the historical explicit dense inverse instead. Cold solves first
+// scratch to bound eta growth and numerical drift). Cold solves first
 // pass through a presolve layer (see presolve.go) unless Options.Presolve
 // disables it. Upper bounds are honoured by the bounded-variable
 // pivoting rule — including bound flips — so no extra rows are created for
@@ -92,19 +91,19 @@ type simplexState struct {
 	cost  []float64 // phase-2 (original) costs; artificials are 0
 	b     []float64 // row right-hand sides
 
-	status []int      // per column: atLower/atUpper/atFree/basic
-	value  []float64  // current value of each NONBASIC column (bound or 0)
-	basis  []int      // column index of the basic variable in each row
-	xB     []float64  // value of the basic variable in each row
-	factor factorizer // representation of B^{-1} (sparse LU or dense)
+	status []int     // per column: atLower/atUpper/atFree/basic
+	value  []float64 // current value of each NONBASIC column (bound or 0)
+	basis  []int     // column index of the basic variable in each row
+	xB     []float64 // value of the basic variable in each row
+	factor *luFactor // representation of B^{-1}
 
 	// scratch
-	y     []float64 // duals c_B^T B^{-1}
-	cb    []float64 // slot-space basic costs handed to BTRAN
-	w     []float64 // B^{-1} A_q
-	devex []float64 // Devex reference weights, one per column
-	iter  int
-	p1it  int
+	y      []float64 // duals c_B^T B^{-1}
+	cb     []float64 // slot-space basic costs handed to BTRAN
+	w      []float64 // B^{-1} A_q
+	devex  []float64 // Devex reference weights, one per column
+	iter   int
+	p1it   int
 	dualIt int // dual-simplex repair pivots (Options.Dual)
 
 	degenRun int // consecutive degenerate pivots (triggers Bland)
@@ -181,7 +180,7 @@ func (s *simplexState) run() (*Solution, error) {
 	s.value = make([]float64, len(s.cols), cap(s.cols))
 	s.basis = make([]int, m)
 	s.xB = make([]float64, m)
-	s.factor = newFactorizer(s)
+	s.factor = newLUFactor(s)
 	s.y = make([]float64, m)
 	s.cb = make([]float64, m)
 	s.w = make([]float64, m)

@@ -41,14 +41,14 @@ func (s Status) String() string {
 type Solution struct {
 	Status    Status
 	Objective float64   // objective value at X (valid when Status == Optimal)
-	X []float64 // one value per structural variable
+	X         []float64 // one value per structural variable
 	// Dual holds one multiplier per constraint row. On Optimal these are
 	// the usual LP duals; on Infeasible they are the phase-1 duals (a
 	// Farkas-style infeasibility certificate) when the simplex proved
 	// infeasibility itself, nil when presolve did.
-	Dual []float64
-	Iters     int       // total simplex iterations (both phases)
-	Phase1    int       // iterations spent in phase 1
+	Dual   []float64
+	Iters  int // total simplex iterations (both phases)
+	Phase1 int // iterations spent in phase 1
 	// DualIters counts dual-simplex repair pivots (Options.Dual): warm
 	// starts whose basis was primal infeasible but dual feasible were
 	// driven back to feasibility by this many pivots instead of a cold
@@ -81,8 +81,8 @@ type Solution struct {
 	PresolveTime time.Duration
 	// Refactorizations counts from-scratch basis factorizations.
 	Refactorizations int
-	// FactorNNZ is the nonzero count of the final basis factorization —
-	// L+U fill-in under FactorLU, m² under FactorDense.
+	// FactorNNZ is the nonzero count of the final sparse LU basis
+	// factorization, fill-in included.
 	FactorNNZ int
 	// PresolveRows and PresolveCols count the constraint rows and columns
 	// presolve removed before the simplex saw the problem.
@@ -171,11 +171,6 @@ type Options struct {
 	Dual bool
 	// RecordPivots fills Solution.Pivots with the pivot sequence.
 	RecordPivots bool
-	// Factor selects the basis-inverse representation: the default
-	// (FactorAuto/FactorLU) is a sparse LU factorization with Markowitz
-	// pivot ordering and product-form updates; FactorDense keeps the
-	// explicit dense inverse the solver originally shipped with.
-	Factor FactorMode
 	// Presolve controls the reduction pass that removes empty rows and
 	// columns, fixed variables, singleton and forcing rows, and dominated
 	// columns before the simplex runs, postsolving the answer (including
@@ -191,20 +186,6 @@ type Options struct {
 	// solver takes the instrumented path only when set.
 	Metrics *obs.Registry
 }
-
-// FactorMode selects the representation of the basis inverse.
-type FactorMode int8
-
-// Basis factorization modes.
-const (
-	// FactorAuto lets the solver choose; currently sparse LU.
-	FactorAuto FactorMode = iota
-	// FactorLU selects the sparse LU factorization explicitly.
-	FactorLU
-	// FactorDense selects the dense explicit inverse (the historical
-	// representation, kept as a numerical cross-check and fallback).
-	FactorDense
-)
 
 // PresolveMode controls the presolve reduction pass.
 type PresolveMode int8

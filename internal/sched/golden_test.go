@@ -62,6 +62,8 @@ func greedyGoldenRun(t *testing.T, schedName string, seed int64, churn bool) gre
 			f.PreemptTimeoutSec = 20
 		}
 		sch = f
+	case "scale":
+		sch = NewScale()
 	default:
 		t.Fatalf("unknown scheduler %q", schedName)
 	}
@@ -100,14 +102,14 @@ func greedyGoldenRun(t *testing.T, schedName string, seed int64, churn bool) gre
 	return g
 }
 
-// TestGreedyGoldens pins Delay, FIFO and Fair to results recorded before
-// their dispatch paths were reworked: the same seed must reproduce the
+// TestGreedyGoldens pins Delay, FIFO, Fair and Scale to results recorded
+// before their dispatch paths were reworked: the same seed must reproduce the
 // ledger to the microcent, the total job time to the bit, the locality
 // mix and the trace byte for byte. Regenerate only for an intended plan
 // change: go test ./internal/sched -run TestGreedyGoldens -update
 func TestGreedyGoldens(t *testing.T) {
 	var got []greedyGolden
-	for _, name := range []string{"delay", "fifo", "fair"} {
+	for _, name := range []string{"delay", "fifo", "fair", "scale"} {
 		for _, seed := range []int64{1, 2, 3} {
 			for _, churn := range []bool{false, true} {
 				got = append(got, greedyGoldenRun(t, name, seed, churn))

@@ -7,24 +7,24 @@ import (
 
 // Scale is the locality-greedy scheduler specialized for very large
 // clusters (the -scale runs): FIFO job order, best-replica placement,
-// and no per-decision allocations. It implements sim.BatchScheduler, so
-// a sweep that idles thousands of nodes at once (job arrival, crash
-// recovery) arrives as one OnSlotsFree call instead of N OnSlotFree
-// calls, and it walks each job's pending tasks with a forward-only
-// cursor (sim.NextPending) instead of materializing PendingTasks slices.
+// and no per-decision allocations. Once the backlog is drained each
+// OnSlotFree returns in O(1), so a sweep over thousands of idle nodes
+// (job arrival, crash recovery) stays cheap, and it walks each job's
+// pending tasks with a forward-only cursor (sim.NextPending) instead of
+// materializing PendingTasks slices.
 //
 // The cursor only moves forward, but kills, timeouts, and faults can
-// return tasks to Pending behind it. fill therefore falls back to one
-// full rescan (cursors reset to 0) whenever the cursors find nothing and
-// the simulator still reports pending work — correctness never depends
-// on the cursor invariant, only the amortized cost does.
+// return tasks to Pending behind it. OnSlotFree therefore falls back to
+// one full rescan (cursors reset to 0) whenever the cursors find nothing
+// and the simulator still reports pending work — correctness never
+// depends on the cursor invariant, only the amortized cost does.
 type Scale struct {
 	sim.NopNodeEvents
 	cursors []int // per-job lowest possibly-pending task index
 	head    int   // lowest job index that may still have pending work
 }
 
-// NewScale returns the large-cluster batch scheduler.
+// NewScale returns the large-cluster scheduler.
 func NewScale() *Scale { return &Scale{} }
 
 // Name implements sim.Scheduler.
@@ -52,30 +52,17 @@ func (sc *Scale) OnJobArrival(s *sim.Sim, job int) {
 // OnTaskDone implements sim.Scheduler.
 func (sc *Scale) OnTaskDone(*sim.Sim, int, int) {}
 
-// OnSlotFree implements sim.Scheduler.
+// OnSlotFree implements sim.Scheduler: it launches pending work onto n
+// until the node or the backlog is exhausted. A drained backlog costs one
+// counter read, not a job scan.
 func (sc *Scale) OnSlotFree(s *sim.Sim, n cluster.NodeID) {
-	sc.fill(s, n)
-}
-
-// OnSlotsFree implements sim.BatchScheduler: fill each idle node in the
-// ascending order the simulator delivers, stopping early once the
-// pending backlog is drained.
-func (sc *Scale) OnSlotsFree(s *sim.Sim, nodes []cluster.NodeID) {
-	for _, n := range nodes {
-		if !sc.fill(s, n) {
-			return // nothing launchable anywhere; later nodes see the same backlog
-		}
+	if pending, _, _, _ := s.StateCounts(); pending == 0 {
+		return
 	}
-}
-
-// fill launches pending work onto n until the node or the backlog is
-// exhausted. It reports whether the backlog still had work for the last
-// launch attempt — false means every arrived job is drained.
-func (sc *Scale) fill(s *sim.Sim, n cluster.NodeID) bool {
 	for s.FreeSlots(n) > 0 {
 		job, task, ok := sc.next(s)
 		if !ok {
-			return false
+			return
 		}
 		store := sim.NoStore
 		if s.W.Jobs[job].HasInput() {
@@ -89,7 +76,6 @@ func (sc *Scale) fill(s *sim.Sim, n cluster.NodeID) bool {
 		}
 		sc.cursors[job] = task
 	}
-	return true
 }
 
 // next returns the lowest arrived job's lowest pending task at or after

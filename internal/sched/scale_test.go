@@ -10,8 +10,8 @@ import (
 )
 
 // scaleScenario builds a seed-deterministic random cluster + workload
-// sized for the sched-level cross-checks (big enough that the head
-// cursor, batched sweeps and the rescan fallback all fire).
+// sized for the sched-level checks (big enough that the head cursor,
+// idle-node sweeps and the rescan fallback all fire).
 func scaleScenario(nodes, tasks int, seed int64) (*cluster.Cluster, *workload.Workload) {
 	rng := rand.New(rand.NewSource(seed))
 	c := cluster.Random(rng, cluster.RandomSpec{Nodes: nodes})
@@ -19,33 +19,25 @@ func scaleScenario(nodes, tasks int, seed int64) (*cluster.Cluster, *workload.Wo
 	return c, w
 }
 
-// TestScaleCompletesAndMatchesLegacyDispatch pins the Scale scheduler's
-// results: the batched-notification path and the legacy per-node
-// full-scan dispatch must agree exactly, and repeated runs must
-// reproduce the same numbers.
-func TestScaleCompletesAndMatchesLegacyDispatch(t *testing.T) {
+// TestScaleCompletesReproducibly checks that Scale finishes every job
+// and that repeated runs reproduce the same numbers. TestGreedyGoldens
+// pins the plans themselves.
+func TestScaleCompletesReproducibly(t *testing.T) {
 	c, w := scaleScenario(96, 3000, 4)
-	run := func(legacy bool) *sim.Result {
+	run := func() *sim.Result {
 		p := w.Placement()
 		p.Shuffle(rand.New(rand.NewSource(1004)), c.StoreIDs())
-		return runSched(t, c, w, p, NewScale(), sim.Options{LegacyDispatch: legacy})
+		return runSched(t, c, w, p, NewScale(), sim.Options{})
 	}
-	batched, legacy := run(false), run(true)
-	if batched.Makespan <= 0 {
+	r := run()
+	if r.Makespan <= 0 {
 		t.Fatal("zero makespan")
 	}
-	if batched.Makespan != legacy.Makespan || batched.TotalCost() != legacy.TotalCost() {
-		t.Errorf("batched vs legacy dispatch: makespan %g vs %g, cost %v vs %v",
-			batched.Makespan, legacy.Makespan, batched.TotalCost(), legacy.TotalCost())
+	again := run()
+	if r.Makespan != again.Makespan || r.TotalCost() != again.TotalCost() || r.Locality != again.Locality {
+		t.Errorf("scale run not reproducible: makespan %g vs %g", r.Makespan, again.Makespan)
 	}
-	if batched.Locality != legacy.Locality {
-		t.Errorf("locality diverged: %+v vs %+v", batched.Locality, legacy.Locality)
-	}
-	again := run(false)
-	if batched.Makespan != again.Makespan || batched.TotalCost() != again.TotalCost() {
-		t.Errorf("scale run not reproducible: makespan %g vs %g", batched.Makespan, again.Makespan)
-	}
-	for j, done := range batched.JobDone {
+	for j, done := range r.JobDone {
 		if done <= 0 {
 			t.Errorf("job %d never finished", j)
 		}
@@ -54,28 +46,27 @@ func TestScaleCompletesAndMatchesLegacyDispatch(t *testing.T) {
 
 // TestScaleCompletesUnderFaults drives Scale through random crashes,
 // store losses and stragglers: kills re-pend tasks behind the forward
-// cursors, so this exercises the full-rescan fallback. Both dispatch
-// modes must finish every job with identical results.
+// cursors, so this exercises the full-rescan fallback. Every job must
+// finish, and a repeated run must reproduce the same results.
 func TestScaleCompletesUnderFaults(t *testing.T) {
 	c, w := scaleScenario(64, 2000, 8)
 	faults := sim.RandomFaultPlan(8, c, sim.FaultSpec{Crashes: 4, StoreLosses: 2, Slowdowns: 2})
-	run := func(legacy bool) *sim.Result {
+	run := func() *sim.Result {
 		p := w.Placement()
 		p.Shuffle(rand.New(rand.NewSource(1008)), c.StoreIDs())
 		return runSched(t, c, w, p, NewScale(),
-			sim.Options{LegacyDispatch: legacy, Faults: faults, Speculative: true})
+			sim.Options{Faults: faults, Speculative: true})
 	}
-	batched, legacy := run(false), run(true)
-	if batched.Faults.NodesCrashed == 0 {
+	r := run()
+	if r.Faults.NodesCrashed == 0 {
 		t.Fatal("fault plan never crashed a node; scenario too small")
 	}
-	if batched.Makespan != legacy.Makespan || batched.TotalCost() != legacy.TotalCost() ||
-		batched.Faults != legacy.Faults {
-		t.Errorf("batched vs legacy dispatch under faults: makespan %g vs %g, cost %v vs %v, faults %+v vs %+v",
-			batched.Makespan, legacy.Makespan, batched.TotalCost(), legacy.TotalCost(),
-			batched.Faults, legacy.Faults)
+	again := run()
+	if r.Makespan != again.Makespan || r.TotalCost() != again.TotalCost() || r.Faults != again.Faults {
+		t.Errorf("scale run under faults not reproducible: makespan %g vs %g, cost %v vs %v, faults %+v vs %+v",
+			r.Makespan, again.Makespan, r.TotalCost(), again.TotalCost(), r.Faults, again.Faults)
 	}
-	for j, done := range batched.JobDone {
+	for j, done := range r.JobDone {
 		if done <= 0 {
 			t.Errorf("job %d never finished under faults", j)
 		}

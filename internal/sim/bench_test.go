@@ -83,7 +83,7 @@ func BenchmarkSimulatorSharedLinks(b *testing.B) {
 }
 
 // BenchmarkSimulatorThroughput10k is the paper-scale gate: a 10k-node
-// random cluster running a 1M-task random workload under the batch-stub
+// random cluster running a 1M-task random workload under the scale-stub
 // scheduler. Generation happens outside the timer; the timed region is
 // pure event processing. tasks/run lets scripts/bench.sh derive
 // sim_tasks_per_sec.
@@ -97,7 +97,7 @@ func BenchmarkSimulatorThroughput10k(b *testing.B) {
 		b.StopTimer()
 		p := w.Placement()
 		p.Shuffle(rand.New(rand.NewSource(2)), c.StoreIDs())
-		s := New(c, w, p, &batchStub{}, Options{})
+		s := New(c, w, p, &scaleStub{}, Options{})
 		b.StartTimer()
 		if _, err := s.Run(); err != nil {
 			b.Fatal(err)
@@ -108,15 +108,15 @@ func BenchmarkSimulatorThroughput10k(b *testing.B) {
 
 // BenchmarkDispatch isolates the idle-node sweep: a 1024-node cluster
 // with every slot free and a scheduler that launches nothing, so each
-// KickIdleNodes pays for one full bitset walk plus the batched
-// notification and nothing else.
+// KickIdleNodes pays for one full bitset walk plus one OnSlotFree per
+// idle node and nothing else.
 func BenchmarkDispatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	c := cluster.Random(rng, cluster.RandomSpec{Nodes: 1024})
 	wb := workload.NewBuilder()
 	wb.AddNoInputJob("idle", "u", 1, 1, 0)
 	w := wb.Build()
-	nop := &batchStub{onFill: nil}
+	nop := &scaleStub{}
 	s := New(c, w, nil, nop, Options{})
 	// Consume the single task so every later kick finds no pending work
 	// and the sweep cost dominates.

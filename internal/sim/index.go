@@ -35,13 +35,8 @@ package sim
 //	pendLow[j]      ≤ lowest Pending task index of job j (any value when
 //	                  none is Pending: a task re-entering Pending lowers it)
 //	fifo[:fifoHead] = arrived jobs that are all complete
-//
-// Options.LegacyDispatch keeps the original full scans alive for
-// differential testing; it never consults these indexes but they are
-// maintained regardless, so the property tests cross-check both modes.
 
 import (
-	"math/bits"
 	"sort"
 
 	"lips/internal/cluster"
@@ -206,20 +201,6 @@ func sortDedup(hits []int32) []int32 {
 		w++
 	}
 	return hits[:w]
-}
-
-// IdleNodes appends every live node with at least one free slot to buf in
-// ascending node order and returns the extended slice. Allocation-free
-// when buf has capacity.
-func (s *Sim) IdleNodes(buf []cluster.NodeID) []cluster.NodeID {
-	for wi, word := range s.idle {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &^= 1 << uint(b)
-			buf = append(buf, cluster.NodeID(wi<<6+b))
-		}
-	}
-	return buf
 }
 
 // TotalFreeSlots returns the free-slot count across live nodes in O(1).

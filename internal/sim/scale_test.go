@@ -2,64 +2,66 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
 	"fmt"
+	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
 	"lips/internal/cluster"
 	"lips/internal/hdfs"
+	"lips/internal/metrics"
 	"lips/internal/trace"
 	"lips/internal/workload"
 )
 
-// batchStub is the in-package stand-in for the sched.Scale batch
-// scheduler (sched imports sim, so the real one cannot be used here):
-// FIFO job order, cursor-based pending scan, best-replica placement,
-// batched slot-free notifications.
-type batchStub struct {
+// scaleStub is the in-package stand-in for the sched.Scale scheduler
+// (sched imports sim, so the real one cannot be used here): FIFO job
+// order, cursor-based pending scan, best-replica placement.
+type scaleStub struct {
 	NopNodeEvents
 	cursors []int
 	head    int // lowest job index that may still have pending work
-	// onFill, when set, runs before each node is filled — the churn test
-	// uses it to kill running work in the middle of a batched sweep.
+	// onFill, when set, runs before each node is filled — the kill test
+	// uses it to kill running work in the middle of a KickIdleNodes sweep.
 	onFill func(s *Sim, n cluster.NodeID)
 }
 
-func (bs *batchStub) Name() string { return "batch-stub" }
-func (bs *batchStub) Init(s *Sim) {
+// Name keeps the stub's original label: it is part of the traces that
+// TestDispatchGoldens pins.
+func (bs *scaleStub) Name() string { return "batch-stub" }
+func (bs *scaleStub) Init(s *Sim) {
 	bs.cursors = make([]int, len(s.W.Jobs))
 	bs.head = 0
 }
-func (bs *batchStub) OnJobArrival(s *Sim, job int) {
+func (bs *scaleStub) OnJobArrival(s *Sim, job int) {
 	bs.cursors[job] = 0
 	if job < bs.head {
 		bs.head = job
 	}
 	s.KickIdleNodes()
 }
-func (bs *batchStub) OnTaskDone(*Sim, int, int) {}
-func (bs *batchStub) OnSlotFree(s *Sim, n cluster.NodeID) {
-	bs.fill(s, n)
-}
-func (bs *batchStub) OnSlotsFree(s *Sim, nodes []cluster.NodeID) {
-	for _, n := range nodes {
-		if bs.onFill != nil {
-			bs.onFill(s, n)
-		}
-		if !bs.fill(s, n) {
-			return // backlog drained; later nodes would rescan for nothing
-		}
-	}
-}
+func (bs *scaleStub) OnTaskDone(*Sim, int, int) {}
 
-// fill reports false once the pending backlog is drained, so a batched
-// sweep stops instead of paying a failed job scan per remaining node.
-func (bs *batchStub) fill(s *Sim, n cluster.NodeID) bool {
+// OnSlotFree returns in O(1) once the pending backlog is drained, so a
+// sweep over many idle nodes does not pay a failed job scan per node.
+func (bs *scaleStub) OnSlotFree(s *Sim, n cluster.NodeID) {
+	if bs.onFill != nil {
+		bs.onFill(s, n)
+	}
+	if pending, _, _, _ := s.StateCounts(); pending == 0 {
+		return
+	}
 	for s.FreeSlots(n) > 0 {
 		job, task, ok := bs.next(s)
 		if !ok {
-			return false
+			return
 		}
 		store := NoStore
 		if s.W.Jobs[job].HasInput() {
@@ -71,13 +73,12 @@ func (bs *batchStub) fill(s *Sim, n cluster.NodeID) bool {
 		}
 		bs.cursors[job] = task
 	}
-	return true
 }
 
 // next mirrors sched.Scale: scan from the head job so a launch costs
 // amortized O(1); one full rescan (head and cursors reset) when the
 // forward-only cursors miss work re-pended behind them.
-func (bs *batchStub) next(s *Sim) (job, task int, ok bool) {
+func (bs *scaleStub) next(s *Sim) (job, task int, ok bool) {
 	for rescan := 0; rescan < 2; rescan++ {
 		for j := bs.head; j < len(bs.cursors); j++ {
 			if !s.JobArrived(j) {
@@ -140,8 +141,8 @@ func TestScaleDeterministic(t *testing.T) {
 		nodes, tasks = 200, 5_000
 	}
 	c, w := buildScaleRun(nodes, tasks, 7)
-	a, ra := runScaleTrace(t, c, w, &batchStub{}, Options{}, 7)
-	b, rb := runScaleTrace(t, c, w, &batchStub{}, Options{}, 7)
+	a, ra := runScaleTrace(t, c, w, &scaleStub{}, Options{}, 7)
+	b, rb := runScaleTrace(t, c, w, &scaleStub{}, Options{}, 7)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("same-seed traces differ: run A %d bytes, run B %d bytes", len(a), len(b))
 	}
@@ -153,7 +154,7 @@ func TestScaleDeterministic(t *testing.T) {
 	}
 }
 
-// specStub is a spec-aware greedy scheduler for the legacy cross-check:
+// specStub is a spec-aware greedy scheduler for the dispatch goldens:
 // greedy best-replica fill, falling back to speculative execution like
 // the Hadoop default.
 func specStub() *stubSched {
@@ -186,12 +187,28 @@ func specStub() *stubSched {
 	return ss
 }
 
-// TestIndexedMatchesLegacyDispatch is the differential gate for the
-// indexed dispatch rework: the incremental-index control paths and the
-// original full-scan paths (Options.LegacyDispatch) must produce
-// byte-identical traces — same launches, kills, fault replay, and sample
-// counters — under speculation, faults, and batched notifications.
-func TestIndexedMatchesLegacyDispatch(t *testing.T) {
+var updateGoldens = flag.Bool("update", false, "rewrite testdata/dispatch_goldens.json from the current simulator")
+
+const dispatchGoldenFile = "testdata/dispatch_goldens.json"
+
+// dispatchGolden fingerprints one dispatch scenario: a digest of the full
+// JSONL trace plus the headline results.
+type dispatchGolden struct {
+	Name         string             `json:"name"`
+	TraceSHA256  string             `json:"trace_sha256"`
+	TotalCostUC  int64              `json:"total_cost_uc"`
+	MakespanBits uint64             `json:"makespan_bits"`
+	Faults       metrics.FaultStats `json:"faults"`
+}
+
+// TestDispatchGoldens pins the dispatch paths — speculation, crash and
+// store-loss replay, idle-node sweeps and sample counters — to traces
+// recorded while an alternative full-scan dispatch (and, for
+// batch-faults, a batched slot-free callback) still existed and was
+// checked byte-identical to the indexed path. Regenerate only for an
+// intended behaviour change:
+// go test ./internal/sim -run TestDispatchGoldens -update
+func TestDispatchGoldens(t *testing.T) {
 	c, w := buildScaleRun(64, 2000, 11)
 	faults := RandomFaultPlan(11, c, FaultSpec{Crashes: 3, StoreLosses: 2, Slowdowns: 2})
 
@@ -202,34 +219,50 @@ func TestIndexedMatchesLegacyDispatch(t *testing.T) {
 	}{
 		{"spec-faults", func() Scheduler { return specStub() },
 			Options{Speculative: true, Faults: faults}},
-		{"batch-faults", func() Scheduler { return &batchStub{} },
+		{"batch-faults", func() Scheduler { return &scaleStub{} },
 			Options{Faults: faults}},
 		{"plain", func() Scheduler { return greedyStub() }, Options{}},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			indexed, ri := runScaleTrace(t, c, w, tc.sched(), tc.opts, 11)
-			legacy := tc.opts
-			legacy.LegacyDispatch = true
-			scanned, rl := runScaleTrace(t, c, w, tc.sched(), legacy, 11)
-			if !bytes.Equal(indexed, scanned) {
-				i := 0
-				for i < len(indexed) && i < len(scanned) && indexed[i] == scanned[i] {
-					i++
-				}
-				lo, hi := i-80, i+120
-				if lo < 0 {
-					lo = 0
-				}
-				if hi > len(indexed) {
-					hi = len(indexed)
-				}
-				t.Fatalf("indexed and legacy traces diverge at byte %d:\nindexed: %q",
-					i, indexed[lo:hi])
-			}
-			if ri.TotalCost() != rl.TotalCost() || ri.Makespan != rl.Makespan ||
-				ri.Faults != rl.Faults {
-				t.Fatalf("results differ: indexed %v, legacy %v", ri, rl)
+	got := make([]dispatchGolden, len(cases))
+	for i, tc := range cases {
+		tr, r := runScaleTrace(t, c, w, tc.sched(), tc.opts, 11)
+		sum := sha256.Sum256(tr)
+		got[i] = dispatchGolden{
+			Name:         tc.name,
+			TraceSHA256:  hex.EncodeToString(sum[:]),
+			TotalCostUC:  int64(r.TotalCost()),
+			MakespanBits: math.Float64bits(r.Makespan),
+			Faults:       r.Faults,
+		}
+	}
+	if *updateGoldens {
+		b, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.MkdirAll(filepath.Dir(dispatchGoldenFile), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(dispatchGoldenFile, append(b, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(dispatchGoldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []dispatchGolden
+	if err := json.Unmarshal(raw, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != len(got) {
+		t.Fatalf("golden file has %d runs, test produced %d", len(want), len(got))
+	}
+	for i := range got {
+		t.Run(got[i].Name, func(t *testing.T) {
+			if got[i] != want[i] {
+				t.Errorf("diverged from its golden:\n got  %+v\n want %+v", got[i], want[i])
 			}
 		})
 	}
@@ -244,7 +277,7 @@ func TestIndexedMatchesLegacyDispatch(t *testing.T) {
 // completion settles its speculative twin, the losing attempt's kill
 // frees a slot and dispatches the scheduler before the task flips to
 // Done, so slot-free callbacks can observe a Running task whose attempts
-// are already untracked. Callers inside OnSlotFree/OnSlotsFree therefore
+// are already untracked. Callers inside OnSlotFree therefore
 // pass strict=false; OnTaskDone and end-of-run use strict=true.
 func verifyIndexes(t *testing.T, s *Sim, strict bool) {
 	t.Helper()
@@ -363,108 +396,106 @@ func verifyIndexes(t *testing.T, s *Sim, strict bool) {
 // scalesmoke).
 func TestSlotIndexProperty(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
-		for _, legacy := range []bool{false, true} {
-			c, w := buildScaleRun(48, 600, seed)
-			faults := RandomFaultPlan(seed, c, FaultSpec{Crashes: 4, StoreLosses: 2, Slowdowns: 2})
-			rng := rand.New(rand.NewSource(seed * 97))
-			checks := 0
-			ss := &stubSched{name: "churn-stub"}
-			ss.onSlotFree = func(s *Sim, n cluster.NodeID) {
-				verifyIndexes(t, s, false)
-				checks++
-				for s.FreeSlots(n) > 0 {
-					if rng.Intn(10) == 0 {
-						return // leave the slot idle this round
-					}
-					launched := false
-					for _, j := range s.ArrivedJobs() {
-						pending := s.PendingTasks(j)
-						if len(pending) != s.JobPending(j) {
-							t.Fatalf("job %d: PendingTasks has %d tasks, JobPending says %d", j, len(pending), s.JobPending(j))
-						}
-						if len(pending) == 0 {
-							continue
-						}
-						pick := pending[rng.Intn(len(pending))]
-						store := NoStore
-						if s.W.Jobs[j].HasInput() {
-							store = s.BestReplica(j, pick, n)
-						}
-						if err := s.Launch(j, pick, n, store); err != nil {
-							continue
-						}
-						launched = true
-						break
-					}
-					if !launched {
-						s.LaunchSpeculative(n)
-						return
-					}
+		c, w := buildScaleRun(48, 600, seed)
+		faults := RandomFaultPlan(seed, c, FaultSpec{Crashes: 4, StoreLosses: 2, Slowdowns: 2})
+		rng := rand.New(rand.NewSource(seed * 97))
+		checks := 0
+		ss := &stubSched{name: "churn-stub"}
+		ss.onSlotFree = func(s *Sim, n cluster.NodeID) {
+			verifyIndexes(t, s, false)
+			checks++
+			for s.FreeSlots(n) > 0 {
+				if rng.Intn(10) == 0 {
+					return // leave the slot idle this round
 				}
-			}
-			ss.onTaskDone = func(s *Sim, job, task int) {
-				verifyIndexes(t, s, true)
-				if rng.Intn(5) != 0 {
-					return
-				}
-				// Kill a random running task to churn the indexes.
+				launched := false
 				for _, j := range s.ArrivedJobs() {
-					running := s.RunningTasks(j)
-					if len(running) == 0 {
+					pending := s.PendingTasks(j)
+					if len(pending) != s.JobPending(j) {
+						t.Fatalf("job %d: PendingTasks has %d tasks, JobPending says %d", j, len(pending), s.JobPending(j))
+					}
+					if len(pending) == 0 {
 						continue
 					}
-					if err := s.KillTask(j, running[rng.Intn(len(running))]); err != nil {
-						t.Fatal(err)
+					pick := pending[rng.Intn(len(pending))]
+					store := NoStore
+					if s.W.Jobs[j].HasInput() {
+						store = s.BestReplica(j, pick, n)
 					}
+					if err := s.Launch(j, pick, n, store); err != nil {
+						continue
+					}
+					launched = true
 					break
 				}
-			}
-			p := w.Placement()
-			p.Shuffle(rand.New(rand.NewSource(seed+1000)), c.StoreIDs())
-			// A 1 s progress timeout kills every remote read in flight
-			// (up to the retry budget), returning tasks to Pending.
-			s := New(c, w, p, ss, Options{Speculative: true, Faults: faults, TaskTimeoutSec: 1, LegacyDispatch: legacy})
-			if err := s.Start(); err != nil {
-				t.Fatal(err)
-			}
-			added, cancelled := 0, 0
-			for step := 1; step < 100_000; step++ {
-				if err := s.StepUntil(float64(step) * 20); err != nil {
-					t.Fatalf("seed %d legacy=%v: %v", seed, legacy, err)
+				if !launched {
+					s.LaunchSpeculative(n)
+					return
 				}
-				verifyIndexes(t, s, true)
-				if step > 60 {
-					if len(s.events) > 0 {
-						continue
-					}
-					if s.Drained() {
-						break
-					}
-					// The stub never kicks on arrival and may leave
-					// slots idle; wake a stalled run the way a serve
-					// daemon's next epoch would.
-					s.KickIdleNodes()
+			}
+		}
+		ss.onTaskDone = func(s *Sim, job, task int) {
+			verifyIndexes(t, s, true)
+			if rng.Intn(5) != 0 {
+				return
+			}
+			// Kill a random running task to churn the indexes.
+			for _, j := range s.ArrivedJobs() {
+				running := s.RunningTasks(j)
+				if len(running) == 0 {
 					continue
 				}
-				switch rng.Intn(3) {
-				case 0:
-					indexChurnAddJob(t, s, rng, step)
-					added++
-				case 1:
-					if err := s.CancelJob(rng.Intn(s.NumJobs())); err != nil {
-						t.Fatal(err)
-					}
-					cancelled++
+				if err := s.KillTask(j, running[rng.Intn(len(running))]); err != nil {
+					t.Fatal(err)
 				}
+				break
 			}
-			if !s.Drained() {
-				t.Fatalf("seed %d legacy=%v: %d jobs never finished", seed, legacy, s.remaining)
+		}
+		p := w.Placement()
+		p.Shuffle(rand.New(rand.NewSource(seed+1000)), c.StoreIDs())
+		// A 1 s progress timeout kills every remote read in flight
+		// (up to the retry budget), returning tasks to Pending.
+		s := New(c, w, p, ss, Options{Speculative: true, Faults: faults, TaskTimeoutSec: 1})
+		if err := s.Start(); err != nil {
+			t.Fatal(err)
+		}
+		added, cancelled := 0, 0
+		for step := 1; step < 100_000; step++ {
+			if err := s.StepUntil(float64(step) * 20); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
 			}
 			verifyIndexes(t, s, true)
-			if checks == 0 || added == 0 || cancelled == 0 {
-				t.Fatalf("seed %d legacy=%v: property checked %d times with %d adds and %d cancels",
-					seed, legacy, checks, added, cancelled)
+			if step > 60 {
+				if len(s.events) > 0 {
+					continue
+				}
+				if s.Drained() {
+					break
+				}
+				// The stub never kicks on arrival and may leave
+				// slots idle; wake a stalled run the way a serve
+				// daemon's next epoch would.
+				s.KickIdleNodes()
+				continue
 			}
+			switch rng.Intn(3) {
+			case 0:
+				indexChurnAddJob(t, s, rng, step)
+				added++
+			case 1:
+				if err := s.CancelJob(rng.Intn(s.NumJobs())); err != nil {
+					t.Fatal(err)
+				}
+				cancelled++
+			}
+		}
+		if !s.Drained() {
+			t.Fatalf("seed %d: %d jobs never finished", seed, s.remaining)
+		}
+		verifyIndexes(t, s, true)
+		if checks == 0 || added == 0 || cancelled == 0 {
+			t.Fatalf("seed %d: property checked %d times with %d adds and %d cancels",
+				seed, checks, added, cancelled)
 		}
 	}
 }
@@ -496,14 +527,14 @@ func indexChurnAddJob(t *testing.T, s *Sim, rng *rand.Rand, step int) {
 	}
 }
 
-// TestKillDuringBatchedSlotFree churns KillTask from inside a batched
-// OnSlotsFree sweep: killing work on nodes later in the same batch (and
-// re-killing on the node being filled) must leave the indexes coherent
-// and the run complete.
-func TestKillDuringBatchedSlotFree(t *testing.T) {
+// TestKillDuringIdleSweep churns KillTask from inside OnSlotFree, which
+// a KickIdleNodes sweep calls node by node: killing work on nodes later
+// in the same sweep (and re-killing on the node being filled) must leave
+// the indexes coherent and the run complete.
+func TestKillDuringIdleSweep(t *testing.T) {
 	c, w := buildScaleRun(48, 600, 5)
 	rng := rand.New(rand.NewSource(5))
-	bs := &batchStub{}
+	bs := &scaleStub{}
 	kills := 0
 	bs.onFill = func(s *Sim, n cluster.NodeID) {
 		verifyIndexes(t, s, false)

@@ -14,8 +14,7 @@
 // typed event structs (no per-event closure or interface boxing on the
 // steady-state paths), and free slots, running attempts and task-state
 // totals are kept in incremental indexes (see index.go) instead of being
-// recomputed by scans. Options.LegacyDispatch retains the original
-// full-scan control paths for differential testing.
+// recomputed by scans.
 //
 // Simplifications relative to a real cluster (documented in DESIGN.md):
 // transfers do not contend for link capacity (each gets the full pairwise
@@ -48,7 +47,10 @@ type Scheduler interface {
 	// OnJobArrival fires when a job is submitted.
 	OnJobArrival(s *Sim, job int)
 	// OnSlotFree fires when node n has at least one free slot and no
-	// ready queued task. The scheduler may Launch tasks.
+	// ready queued task — after a task ends on n, and for every idle node
+	// in ascending order during a KickIdleNodes sweep. The scheduler may
+	// Launch tasks; a scheduler whose backlog is drained should return in
+	// O(1), since a sweep calls it once per idle node.
 	OnSlotFree(s *Sim, n cluster.NodeID)
 	// OnTaskDone fires after a task completes.
 	OnTaskDone(s *Sim, job, task int)
@@ -59,21 +61,6 @@ type Scheduler interface {
 	OnNodeDown(s *Sim, n cluster.NodeID)
 	// OnNodeUp fires after node n rejoins with every slot free.
 	OnNodeUp(s *Sim, n cluster.NodeID)
-}
-
-// BatchScheduler is an optional Scheduler extension for large clusters: a
-// scheduler that implements it receives one combined OnSlotsFree call when
-// many nodes idle at once (job-arrival sweeps, crash recovery) instead of
-// N per-node OnSlotFree calls. KickIdleNodes drains every idle node's
-// pinned queue first, then delivers the still-idle nodes in ascending
-// order; ordinary single-node slot-free events arrive as a one-element
-// slice. The slice is owned by the simulator and valid only for the
-// duration of the call — do not retain it. Schedulers that do not
-// implement the interface keep the exact per-node OnSlotFree sequence
-// they always had (the compatibility shim in notifySlotFree).
-type BatchScheduler interface {
-	Scheduler
-	OnSlotsFree(s *Sim, nodes []cluster.NodeID)
 }
 
 // NopNodeEvents provides no-op fault hooks; embed it in schedulers that
@@ -156,12 +143,6 @@ type Options struct {
 	// of the sampled gauges (task states, slots, clock) while Metrics is
 	// set. 0 means SampleIntervalSec when sampling is on, else 60.
 	MetricsSampleSec float64
-	// LegacyDispatch restores the pre-index full-scan control paths —
-	// idle-node sweeps over every node, fault replay over every task,
-	// sample scans over every task and node — for differential testing
-	// against the incremental indexes (TestIndexedMatchesLegacyDispatch).
-	// Observable behavior is identical; only the asymptotics differ.
-	LegacyDispatch bool
 }
 
 func (o Options) withDefaults() Options {
@@ -367,7 +348,6 @@ type Sim struct {
 
 	opts  Options
 	sched Scheduler
-	batch BatchScheduler // sched when it opts into batched notifications
 
 	// tr is the event sink; traceOn caches Enabled so the disabled path
 	// costs one boolean load per call site. om is nil when live metrics
@@ -427,9 +407,7 @@ type Sim struct {
 	remaining   int // incomplete jobs
 	net         *netEngine
 
-	oneNode [1]cluster.NodeID // single-node batch for the shim
-	kickBuf []cluster.NodeID  // reused idle-set buffer for KickIdleNodes
-	hitBuf  []int32           // reused fault-replay collection buffer
+	hitBuf []int32 // reused fault-replay collection buffer
 
 	// movingBlocks counts in-flight MoveBlock transfers per (object,
 	// block), so planners can avoid racing a relocation they (or a
@@ -458,9 +436,6 @@ func New(c *cluster.Cluster, w *workload.Workload, p *hdfs.Placement, sched Sche
 		UserCPU: make(map[string]float64),
 		opts:    opts.withDefaults(),
 		sched:   sched,
-	}
-	if b, ok := sched.(BatchScheduler); ok {
-		s.batch = b
 	}
 	s.tr = s.opts.Tracer
 	s.traceOn = s.tr.Enabled()
@@ -528,7 +503,6 @@ func New(c *cluster.Cluster, w *workload.Workload, p *hdfs.Placement, sched Sche
 	// it. The running index is bounded by the slot count outright.
 	s.events = make([]event, 0, s.totalSlots+len(w.Jobs)+16)
 	s.running = make([]int32, 0, s.totalSlots+1)
-	s.kickBuf = make([]cluster.NodeID, 0, len(c.Nodes))
 
 	s.net = newNetEngine(s)
 	s.movingBlocks = make(map[[2]int]blockMove)
@@ -701,64 +675,23 @@ func (s *Sim) FreeSlots(n cluster.NodeID) int { return s.nodes[n].free }
 // JobRemaining returns how many tasks of the job are not Done.
 func (s *Sim) JobRemaining(job int) int { return s.jobs[job].remaining }
 
-// KickIdleNodes invokes the scheduler's slot-free path for every live
-// node that has free slots — how built-in schedulers react to arrivals
-// (and how they pick up work orphaned by a crash). The sweep walks the
-// idle bitset rather than every node; under a BatchScheduler the idle set
-// is delivered in one OnSlotsFree call after the pinned queues drain.
+// KickIdleNodes dispatches every live node that has free slots, in
+// ascending node order: its ready pinned queue drains, then the scheduler
+// gets OnSlotFree if slots remain — how built-in schedulers react to
+// arrivals (and how they pick up work orphaned by a crash). The sweep
+// walks the idle bitset rather than every node, re-reading the bitset
+// word after each visit: a dispatch can fill nodes ahead of the sweep,
+// and those must be skipped. Bits at or below the visited node are
+// masked off, so no node is visited twice in one sweep.
 func (s *Sim) KickIdleNodes() {
-	if s.opts.LegacyDispatch {
-		for n := range s.nodes {
-			if !s.nodes[n].down && s.nodes[n].free > 0 {
-				s.dispatch(cluster.NodeID(n))
-			}
-		}
-		return
-	}
-	if s.batch != nil {
-		s.sweepIdle(true)
-		buf := s.IdleNodes(s.kickBuf[:0])
-		s.kickBuf = buf
-		if len(buf) > 0 {
-			s.batch.OnSlotsFree(s, buf)
-		}
-		return
-	}
-	s.sweepIdle(false)
-}
-
-// sweepIdle visits every idle node in ascending order, re-reading the
-// bitset word after each visit: a dispatch can fill nodes ahead of the
-// sweep, and the legacy scan checked liveness at visit time. Bits at or
-// below the visited node are masked off — the legacy scan never
-// revisited earlier nodes either. drainOnly skips the per-node scheduler
-// notification; the batched path delivers one combined callback after.
-func (s *Sim) sweepIdle(drainOnly bool) {
 	for wi := 0; wi < len(s.idle); wi++ {
 		pending := s.idle[wi]
 		for pending != 0 {
 			b := bits.TrailingZeros64(pending)
-			n := cluster.NodeID(wi<<6 + b)
-			if drainOnly {
-				s.drainQueue(n, &s.nodes[n])
-			} else {
-				s.dispatch(n)
-			}
+			s.dispatch(cluster.NodeID(wi<<6 + b))
 			pending = s.idle[wi] &^ (^uint64(0) >> (63 - uint(b)))
 		}
 	}
-}
-
-// notifySlotFree hands an idle node to the scheduler — the compatibility
-// shim between the two notification styles: batch-aware schedulers get a
-// one-element OnSlotsFree, everyone else the classic OnSlotFree.
-func (s *Sim) notifySlotFree(n cluster.NodeID) {
-	if s.batch != nil {
-		s.oneNode[0] = n
-		s.batch.OnSlotsFree(s, s.oneNode[:])
-		return
-	}
-	s.sched.OnSlotFree(s, n)
 }
 
 // armDispatch schedules a dispatch wake-up for node n at time t,

@@ -631,9 +631,11 @@ func (s *Sim) dispatch(nid cluster.NodeID) {
 	if ns.down {
 		return
 	}
-	s.drainQueue(nid, ns)
+	if len(ns.queue) > 0 {
+		s.drainQueue(nid, ns)
+	}
 	if ns.free > 0 {
-		s.notifySlotFree(nid)
+		s.sched.OnSlotFree(s, nid)
 	}
 }
 
@@ -645,9 +647,6 @@ func (s *Sim) dispatch(nid cluster.NodeID) {
 // nothing.
 func (s *Sim) drainQueue(nid cluster.NodeID, ns *nodeState) {
 	q := ns.queue
-	if len(q) == 0 {
-		return
-	}
 	w := 0
 	for r := 0; r < len(q); r++ {
 		e := q[r]
